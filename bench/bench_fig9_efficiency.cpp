@@ -10,21 +10,20 @@
 // checkpointing adds 6.2% to the application run time, compared to 10.6%
 // of the 'no pre-copy' approach, representing a reduction of nearly 40%."
 //
-// Parameters: 4.7 GB checkpoint per node, local interval 40 s, remote
-// interval swept 47..180 s, failure split between transient (local NVM
-// recovery) and permanent (buddy-node recovery) failures. Runs on the
-// discrete-event cluster simulator, averaged over seeds.
-// A second table extends the figure past the paper's single-rack setup:
-// the same pre-copy machinery under the cluster-scale simulator, showing
-// how remote placement (pairwise replication vs RS parity vs hybrid)
-// holds up as node count grows. The full 10k-node sweep lives in
+// Parameters: the 8-node fig9_config() cluster -- 4.7 GB checkpoint per
+// node, local interval 40 s, remote interval swept 47..180 s, failure split
+// between transient (local NVM recovery) and permanent (buddy-node
+// recovery) failures. Runs on the discrete-event cluster simulator,
+// averaged over seeds.
+// A second table extends the figure past the paper's single-rack setup,
+// showing how remote placement (pairwise replication vs RS parity vs
+// hybrid) holds up as node count grows. The full 10k-node sweep lives in
 // bench_sim_scale; this section is the quick cross-reference.
 #include <vector>
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "sim/cluster.hpp"
 #include "sim/cluster_scale.hpp"
 
 namespace {
@@ -106,23 +105,12 @@ int main() {
       for (const int precopy : {0, 1}) {
         OnlineStats acc;
         for (const std::uint64_t seed : seeds) {
-          ClusterConfig cfg;
-          cfg.compute_per_iter = 4.0;
-          cfg.comm_bytes_per_iter = 0.8e9;
-          cfg.total_compute = 1200.0;
-          cfg.ckpt_bytes = 4.7e9;  // ~433 MB/core, 4.7 GB/node (paper)
-          cfg.local_interval = 40.0;
+          ScaleConfig cfg = fig9_config();
           cfg.remote_interval = ri;
-          cfg.remote_enabled = true;
-          cfg.local_precopy = precopy != 0;
-          cfg.remote_precopy = precopy != 0;
+          cfg.precopy = precopy != 0;
           cfg.nvm_bw = bw;
-          cfg.link_bw = 5.0e9;
-          // Failure split per X. Dong et al.: mostly transient.
-          cfg.mtbf_local = 400.0;
-          cfg.mtbf_remote = 2400.0;
           cfg.seed = seed;
-          acc.add(run_cluster(cfg).efficiency);
+          acc.add(run_scale_cluster(cfg).efficiency);
         }
         eff[precopy] = acc.mean();
       }

@@ -422,6 +422,16 @@ std::vector<Chunk*> ChunkAllocator::chunks() const {
   return out;
 }
 
+std::shared_lock<std::shared_mutex> ChunkAllocator::hold_live(
+    std::vector<Chunk*>& chunks) const {
+  std::shared_lock lock(mu_);
+  std::erase_if(chunks, [this](const Chunk* c) {
+    return std::none_of(chunks_.begin(), chunks_.end(),
+                        [c](const auto& owned) { return owned.get() == c; });
+  });
+  return lock;
+}
+
 AllocStats ChunkAllocator::stats() const {
   std::shared_lock lock(mu_);
   AllocStats s;

@@ -115,6 +115,13 @@ class ChunkAllocator {
   /// Stable snapshot of current chunks (pre-copy engine iterates this).
   std::vector<Chunk*> chunks() const;
 
+  /// For a data pass on another thread than the one that allocates: drop
+  /// from `chunks` every pointer no longer allocated (an nvdelete since
+  /// the snapshot) and return a shared hold under which nvalloc,
+  /// nvrealloc and nvdelete wait, so the rest stay valid while it lives.
+  std::shared_lock<std::shared_mutex> hold_live(
+      std::vector<Chunk*>& chunks) const;
+
   AllocStats stats() const;
   vmem::Container& container() { return *container_; }
 

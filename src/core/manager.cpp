@@ -107,7 +107,20 @@ CheckpointManager::CheckpointManager(alloc::ChunkAllocator& allocator,
       &metrics_.histogram("ckpt.blocking_seconds_hist", 0.0, 5.0, 5000);
 }
 
-CheckpointManager::~CheckpointManager() { stop(); }
+/// In-flight state of one streaming restore, from begin to await.
+struct CheckpointManager::StreamingRestore {
+  std::uint64_t epoch = 0;
+  Stopwatch sw;
+  std::vector<alloc::Chunk*> work;
+  std::atomic<int> worst{static_cast<int>(RestoreStatus::kOk)};
+  std::atomic<int> rolled_back{0};
+  std::vector<std::thread> workers;
+};
+
+CheckpointManager::~CheckpointManager() {
+  if (streaming_) await_restore_streaming();
+  stop();
+}
 
 void CheckpointManager::start() {
   // The ring GC runs even under kNone: saturation is a property of the
@@ -132,6 +145,10 @@ void CheckpointManager::stop() {
 void CheckpointManager::run_sharded(
     const std::vector<alloc::Chunk*>& work,
     const std::function<void(alloc::Chunk&, BandwidthLimiter*)>& op) {
+  if (copy_threads_ == 1 || work.size() <= 1) {
+    for (alloc::Chunk* c : work) op(*c, serial_stream());
+    return;
+  }
   const auto shards = shard_by_size(work, copy_threads_);
   std::vector<std::future<void>> futs;
   futs.reserve(shards.size());
@@ -197,63 +214,47 @@ void CheckpointManager::precopy_loop() {
     if (delayed && !threshold_reached()) continue;
 
     const std::uint64_t epoch = next_epoch();
-    std::vector<alloc::Chunk*> eligible;
-    for (alloc::Chunk* c : alloc_->chunks()) {
-      if (!running_.load(std::memory_order_acquire)) return;
-      if (!c->persistent() || !c->dirty_local()) continue;
-      if (restoring_.load(std::memory_order_acquire) &&
-          restore_deferred(c->id())) {
-        continue;  // still streaming in: nothing meaningful to pre-copy
-      }
-      if (cfg_.local_policy == PrecopyPolicy::kDcpcp &&
-          !prediction_.ready_for_precopy(
-              c->id(),
-              c->tracker().mods_in_interval.load(
-                  std::memory_order_acquire))) {
-        continue;  // hot chunk: expected to be modified again, skip
-      }
-      eligible.push_back(c);
+    std::vector<alloc::Chunk*> eligible = alloc_->chunks();
+    {
+      // The application may delete chunks concurrently: hold them while
+      // the metadata-only filter reads them.
+      const auto hold = alloc_->hold_live(eligible);
+      std::erase_if(eligible, [this](alloc::Chunk* c) {
+        if (!c->persistent() || !c->dirty_local()) return true;
+        if (restoring_.load(std::memory_order_acquire) &&
+            restore_deferred(c->id())) {
+          return true;  // still streaming in: nothing meaningful to pre-copy
+        }
+        // DCPCP: a hot chunk is expected to be modified again, skip it.
+        return cfg_.local_policy == PrecopyPolicy::kDcpcp &&
+               !prediction_.ready_for_precopy(
+                   c->id(), c->tracker().mods_in_interval.load(
+                                std::memory_order_acquire));
+      });
     }
 
-    if (copy_threads_ > 1 && eligible.size() > 1) {
-      // Sharded scan: up to copy_threads_ chunks move concurrently per
-      // batch, each on its own NVMBW_core stream. The checkpoint mutex is
-      // held per batch (not for the whole scan) so the coordinated step
-      // can still preempt between batches, as it could between chunks.
-      for (std::size_t i = 0; i < eligible.size(); i += copy_threads_) {
-        if (!running_.load(std::memory_order_acquire)) return;
-        const std::size_t end =
-            std::min(eligible.size(), i + copy_threads_);
-        precopy_batch({eligible.begin() + static_cast<std::ptrdiff_t>(i),
-                       eligible.begin() + static_cast<std::ptrdiff_t>(end)},
-                      epoch);
-      }
-      continue;
-    }
-
-    for (alloc::Chunk* c : eligible) {
+    // Up to copy_threads_ chunks move concurrently per batch, each on its
+    // own NVMBW_core stream (one chunk per batch on the serial path).
+    for (std::size_t i = 0; i < eligible.size(); i += copy_threads_) {
       if (!running_.load(std::memory_order_acquire)) return;
-      double secs = 0;
-      {
-        std::lock_guard<std::mutex> lock(ckpt_mu_);
-        if (!c->dirty_local()) continue;  // raced with the coordinated step
-        telemetry::Span span("precopy_chunk", "ckpt.local");
-        secs = alloc_->precopy_chunk(*c, epoch, serial_stream());
-      }
-      m_.bytes_precopied->add(c->size());
-      m_.precopy_seconds->add(secs);
-      m_.precopy_passes->add(1);
+      const std::size_t end = std::min(eligible.size(), i + copy_threads_);
+      precopy_batch({eligible.begin() + static_cast<std::ptrdiff_t>(i),
+                     eligible.begin() + static_cast<std::ptrdiff_t>(end)},
+                    epoch);
     }
   }
 }
 
-void CheckpointManager::precopy_batch(
-    const std::vector<alloc::Chunk*>& batch, std::uint64_t epoch) {
+void CheckpointManager::precopy_batch(std::vector<alloc::Chunk*> batch,
+                                      std::uint64_t epoch) {
   std::atomic<std::uint64_t> bytes{0};
   std::atomic<std::uint64_t> passes{0};
   std::atomic<std::uint64_t> nanos{0};
   {
     std::lock_guard<std::mutex> lock(ckpt_mu_);
+    // The scan ran without locks: the application may have deleted a
+    // chunk since. Drop those, and hold off deletes until the batch is in.
+    const auto hold = alloc_->hold_live(batch);
     telemetry::Span span("precopy_batch", "ckpt.local");
     // Batched re-arm: one coalesced protect_batch for the whole batch
     // instead of one mprotect per chunk inside each worker. precopy_chunk
@@ -336,21 +337,15 @@ double CheckpointManager::nvchkptall() {
   const bool batched = batch_rearm_ && residual.size() > 1;
   if (batched) alloc_->arm_chunks(residual);
 
-  if (copy_threads_ > 1 && residual.size() > 1) {
-    // Sharded commit: each worker copies+commits its own chunks on its
-    // own NVMBW_core stream. Workers never share a chunk, every commit
-    // touches only that chunk's record, and ckpt_mu_ is held across the
-    // join, so the crash-ordering of each per-chunk commit is unchanged
-    // from the serial path.
-    run_sharded(residual, [this, epoch, batched](alloc::Chunk& c,
-                                                 BandwidthLimiter* stream) {
-      alloc_->checkpoint_chunk(c, epoch, stream, batched);
-    });
-  } else {
-    for (alloc::Chunk* c : residual) {
-      alloc_->checkpoint_chunk(*c, epoch, serial_stream(), batched);
-    }
-  }
+  // Sharded commit: each worker copies+commits its own chunks on its own
+  // NVMBW_core stream. Workers never share a chunk, every commit touches
+  // only that chunk's record, and ckpt_mu_ is held across the join, so the
+  // crash-ordering of each per-chunk commit is unchanged from the serial
+  // path.
+  run_sharded(residual, [this, epoch, batched](alloc::Chunk& c,
+                                               BandwidthLimiter* stream) {
+    alloc_->checkpoint_chunk(c, epoch, stream, batched);
+  });
 
   next_epoch_.fetch_add(1, std::memory_order_acq_rel);
   const double blocking = sw.elapsed();
@@ -403,28 +398,19 @@ RestoreStatus CheckpointManager::restore_all() {
   for (alloc::Chunk* c : alloc_->chunks()) {
     if (c->persistent()) work.push_back(c);
   }
-  if (copy_threads_ > 1 && work.size() > 1) {
-    // Sharded restore: NVM reads are fast (Table I) but still metered by
-    // the device-global limiter, so concurrent readers overlap their
-    // throttle sleeps. The worst status is folded with an atomic max
-    // (RestoreStatus values are ordered by severity).
-    std::atomic<int> worst{static_cast<int>(RestoreStatus::kOk)};
-    run_sharded(work, [this, &worst](alloc::Chunk& c, BandwidthLimiter*) {
-      const int st = static_cast<int>(alloc_->restore_chunk(c));
-      int cur = worst.load(std::memory_order_relaxed);
-      while (st > cur &&
-             !worst.compare_exchange_weak(cur, st,
-                                          std::memory_order_relaxed)) {
-      }
-    });
-    return static_cast<RestoreStatus>(worst.load(std::memory_order_relaxed));
-  }
-  RestoreStatus worst = RestoreStatus::kOk;
-  for (alloc::Chunk* c : work) {
-    const RestoreStatus st = alloc_->restore_chunk(*c);
-    if (static_cast<int>(st) > static_cast<int>(worst)) worst = st;
-  }
-  return worst;
+  // Sharded restore: NVM reads are fast (Table I) but still metered by the
+  // device-global limiter, so concurrent readers overlap their throttle
+  // sleeps. The worst status is folded with an atomic max (RestoreStatus
+  // values are ordered by severity).
+  std::atomic<int> worst{static_cast<int>(RestoreStatus::kOk)};
+  run_sharded(work, [this, &worst](alloc::Chunk& c, BandwidthLimiter*) {
+    const int st = static_cast<int>(alloc_->restore_chunk(c));
+    int cur = worst.load(std::memory_order_relaxed);
+    while (st > cur && !worst.compare_exchange_weak(
+                           cur, st, std::memory_order_relaxed)) {
+    }
+  });
+  return static_cast<RestoreStatus>(worst.load(std::memory_order_relaxed));
 }
 
 bool CheckpointManager::restore_deferred(std::uint64_t id) const {
@@ -432,23 +418,24 @@ bool CheckpointManager::restore_deferred(std::uint64_t id) const {
   return restore_pending_.count(id) != 0;
 }
 
-CheckpointManager::StreamingRestoreReport CheckpointManager::restore_streaming(
-    std::uint64_t epoch) {
-  StreamingRestoreReport rep;
-  const Stopwatch sw;
-  std::vector<alloc::Chunk*> work;
+void CheckpointManager::begin_restore_streaming(std::uint64_t epoch) {
+  if (streaming_) {
+    throw NvmcpError("begin_restore_streaming: a restore is already running");
+  }
+  auto st = std::make_unique<StreamingRestore>();
+  st->epoch = epoch;
   {
     // Setup under the commit mutex so no checkpoint round is mid-flight
     // while the admission set fills; the restore itself then runs WITHOUT
     // the mutex -- that concurrency is the whole point.
     std::lock_guard<std::mutex> lock(ckpt_mu_);
     for (alloc::Chunk* c : alloc_->chunks()) {
-      if (c->persistent()) work.push_back(c);
+      if (c->persistent()) st->work.push_back(c);
     }
     {
       std::lock_guard<std::mutex> rlock(restore_mu_);
       restore_pending_.clear();
-      for (alloc::Chunk* c : work) restore_pending_.insert(c->id());
+      for (alloc::Chunk* c : st->work) restore_pending_.insert(c->id());
     }
     commits_deferred_.store(0, std::memory_order_relaxed);
     restoring_.store(true, std::memory_order_release);
@@ -457,80 +444,88 @@ CheckpointManager::StreamingRestoreReport CheckpointManager::restore_streaming(
       // committed version never is): pin every source slot up front so
       // neither the GC nor a commit recycling ring slots can reclaim a
       // source before its chunk's turn comes.
-      for (alloc::Chunk* c : work) alloc_->pin_epoch(*c, epoch);
+      for (alloc::Chunk* c : st->work) alloc_->pin_epoch(*c, epoch);
     }
   }
-  rep.chunks = static_cast<int>(work.size());
-
-  std::atomic<int> worst{static_cast<int>(RestoreStatus::kOk)};
-  std::atomic<int> rolled_back{0};
-  auto restore_one = [&](alloc::Chunk& c) {
-    RestoreStatus st = alloc_->restore_chunk_epoch(c, epoch);
-    if (st == RestoreStatus::kChecksumMismatch ||
-        st == RestoreStatus::kNoData) {
-      // Target epoch bad or gone: walk back to the newest older retained
-      // epoch that still verifies.
-      for (const std::uint64_t e : alloc_->retained_epochs(c)) {
-        if (epoch != 0 && e >= epoch) continue;
-        const RestoreStatus alt = alloc_->restore_chunk_epoch(c, e);
-        if (alt == RestoreStatus::kOk || alt == RestoreStatus::kOkStale) {
-          st = RestoreStatus::kOkStale;
-          rolled_back.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-      }
-    }
-    int cur = worst.load(std::memory_order_relaxed);
-    const int sti = static_cast<int>(st);
-    while (sti > cur && !worst.compare_exchange_weak(
-                            cur, sti, std::memory_order_relaxed)) {
-    }
-    // Admit commits for this chunk from the next round on -- even when
-    // its restore failed: leaving it deferred forever would silently
-    // exclude it from every future checkpoint.
-    std::lock_guard<std::mutex> rlock(restore_mu_);
-    restore_pending_.erase(c.id());
-  };
 
   // Dedicated worker threads rather than the shared copier pool: commit
   // rounds shard over that pool, and restore shards queued ahead of them
   // would serialize the very commits this path exists to admit.
   const std::size_t nworkers =
-      std::max<std::size_t>(1, std::min(copy_threads_, work.size()));
-  if (nworkers > 1) {
-    const auto shards = shard_by_size(work, nworkers);
-    std::vector<std::thread> workers;
-    workers.reserve(shards.size());
-    for (const auto& shard : shards) {
-      if (shard.empty()) continue;
-      workers.emplace_back([&restore_one, &shard] {
-        for (alloc::Chunk* c : shard) restore_one(*c);
-      });
-    }
-    for (auto& w : workers) w.join();
-  } else {
-    for (alloc::Chunk* c : work) restore_one(*c);
+      std::max<std::size_t>(1, std::min(copy_threads_, st->work.size()));
+  for (auto& shard : shard_by_size(st->work, nworkers)) {
+    if (shard.empty()) continue;
+    st->workers.emplace_back([this, s = st.get(), shard = std::move(shard)] {
+      for (alloc::Chunk* c : shard) restore_streaming_chunk(*s, *c);
+    });
   }
+  streaming_ = std::move(st);
+}
 
-  if (epoch != 0) {
-    for (alloc::Chunk* c : work) alloc_->unpin_epoch(*c, epoch);
+void CheckpointManager::restore_streaming_chunk(StreamingRestore& st,
+                                                alloc::Chunk& c) {
+  RestoreStatus status = alloc_->restore_chunk_epoch(c, st.epoch);
+  if (status == RestoreStatus::kChecksumMismatch ||
+      status == RestoreStatus::kNoData) {
+    // Target epoch bad or gone: walk back to the newest older retained
+    // epoch that still verifies.
+    for (const std::uint64_t e : alloc_->retained_epochs(c)) {
+      if (st.epoch != 0 && e >= st.epoch) continue;
+      const RestoreStatus alt = alloc_->restore_chunk_epoch(c, e);
+      if (alt == RestoreStatus::kOk || alt == RestoreStatus::kOkStale) {
+        status = RestoreStatus::kOkStale;
+        st.rolled_back.fetch_add(1, std::memory_order_relaxed);
+        break;
+      }
+    }
+  }
+  int cur = st.worst.load(std::memory_order_relaxed);
+  const int sti = static_cast<int>(status);
+  while (sti > cur && !st.worst.compare_exchange_weak(
+                          cur, sti, std::memory_order_relaxed)) {
+  }
+  // Admit commits for this chunk from the next round on -- even when its
+  // restore failed: leaving it deferred forever would silently exclude it
+  // from every future checkpoint.
+  std::lock_guard<std::mutex> rlock(restore_mu_);
+  restore_pending_.erase(c.id());
+}
+
+CheckpointManager::StreamingRestoreReport
+CheckpointManager::await_restore_streaming() {
+  if (!streaming_) {
+    throw NvmcpError("await_restore_streaming: no restore is running");
+  }
+  std::unique_ptr<StreamingRestore> st = std::move(streaming_);
+  for (auto& w : st->workers) w.join();
+
+  if (st->epoch != 0) {
+    for (alloc::Chunk* c : st->work) alloc_->unpin_epoch(*c, st->epoch);
   }
   restoring_.store(false, std::memory_order_release);
   {
     std::lock_guard<std::mutex> rlock(restore_mu_);
     restore_pending_.clear();
   }
-  rep.status = static_cast<RestoreStatus>(worst.load());
-  rep.chunks_rolled_back = rolled_back.load();
+  StreamingRestoreReport rep;
+  rep.status = static_cast<RestoreStatus>(st->worst.load());
+  rep.chunks = static_cast<int>(st->work.size());
+  rep.chunks_rolled_back = st->rolled_back.load();
   rep.commits_deferred = commits_deferred_.load(std::memory_order_relaxed);
-  rep.seconds = sw.elapsed();
+  rep.seconds = st->sw.elapsed();
   log_debug("restore_streaming: epoch=%llu chunks=%d rolled_back=%d "
             "deferred_commits=%llu status=%s",
-            static_cast<unsigned long long>(epoch), rep.chunks,
+            static_cast<unsigned long long>(st->epoch), rep.chunks,
             rep.chunks_rolled_back,
             static_cast<unsigned long long>(rep.commits_deferred),
             to_string(rep.status));
   return rep;
+}
+
+CheckpointManager::StreamingRestoreReport CheckpointManager::restore_streaming(
+    std::uint64_t epoch) {
+  begin_restore_streaming(epoch);
+  return await_restore_streaming();
 }
 
 void CheckpointManager::refresh_vmem_metrics() const {

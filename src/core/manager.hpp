@@ -58,7 +58,7 @@ class CheckpointManager {
   /// Returns the worst status encountered.
   RestoreStatus restore_all();
 
-  /// Outcome of one streaming restore (see restore_streaming).
+  /// Outcome of one streaming restore (see begin_restore_streaming).
   struct StreamingRestoreReport {
     RestoreStatus status = RestoreStatus::kOk;  // worst per-chunk status
     double seconds = 0;
@@ -71,9 +71,12 @@ class CheckpointManager {
     std::uint64_t commits_deferred = 0;
   };
 
-  /// Streaming restart: restore persistent chunks one by one on dedicated
-  /// worker threads (copy_threads() of them, size-balanced shards) while
-  /// the application keeps computing and committing. nvchkptall admits
+  /// Start a streaming restart: restore persistent chunks one by one on
+  /// dedicated worker threads (copy_threads() of them, size-balanced
+  /// shards) while the application keeps computing and committing.
+  /// Returns once the admission set is registered, the target epochs are
+  /// pinned and the workers are running, so every nvchkptall issued after
+  /// it already obeys the admission rule. nvchkptall admits
   /// commits for chunks already restored and defers the rest, so the
   /// restart stops being a barrier: a chunk becomes commit-eligible the
   /// moment its own payload is back. `epoch` 0 restores each chunk's
@@ -83,7 +86,13 @@ class CheckpointManager {
   /// target fails verification the restore walks back to the newest older
   /// retained epoch that still verifies. The application must not touch a
   /// chunk until it has been restored (the admission rule covers commits,
-  /// not application loads).
+  /// not application loads). One streaming restore at a time; finish it
+  /// with await_restore_streaming().
+  void begin_restore_streaming(std::uint64_t epoch = 0);
+  /// Join the workers of the running streaming restore, lift admission
+  /// and report.
+  StreamingRestoreReport await_restore_streaming();
+  /// begin_restore_streaming(epoch) + await_restore_streaming().
   StreamingRestoreReport restore_streaming(std::uint64_t epoch = 0);
 
   alloc::ChunkAllocator& allocator() { return *alloc_; }
@@ -130,8 +139,9 @@ class CheckpointManager {
   BandwidthLimiter* shared_stream() const { return shared_stream_; }
 
   /// Resolved copier-thread count (config knob or NVMCP_COPY_THREADS).
-  /// 1 = the serial legacy data path; >1 = sharded commit/restore/pre-copy
-  /// across an internal pool, one NVMBW_core stream per worker.
+  /// 1 = the serial data path on the caller's thread; >1 = sharded
+  /// commit/restore/pre-copy across an internal pool, one NVMBW_core
+  /// stream per worker.
   std::size_t copy_threads() const { return copy_threads_; }
 
   /// Background version-ring GC, or nullptr when the allocator runs at
@@ -151,15 +161,17 @@ class CheckpointManager {
 
   /// Run `op(chunk, worker_stream)` over `work`, sharded size-balanced
   /// (largest-first) across the copier pool; joins every worker before
-  /// returning and rethrows the first worker exception. Requires
-  /// copy_threads_ > 1. Caller holds ckpt_mu_.
+  /// returning and rethrows the first worker exception. With one copy
+  /// thread or at most one chunk, runs inline on the caller with
+  /// serial_stream(). Caller holds ckpt_mu_.
   void run_sharded(
       const std::vector<alloc::Chunk*>& work,
       const std::function<void(alloc::Chunk&, BandwidthLimiter*)>& op);
   /// Pre-copy one batch (<= copy_threads_ chunks) under ckpt_mu_,
   /// merging byte/pass/seconds tallies into the telemetry counters.
-  void precopy_batch(const std::vector<alloc::Chunk*>& batch,
-                     std::uint64_t epoch);
+  /// The lock is taken per batch so the coordinated step can preempt
+  /// between batches.
+  void precopy_batch(std::vector<alloc::Chunk*> batch, std::uint64_t epoch);
 
   /// stream_ unless a tenant trunk is installed.
   BandwidthLimiter* serial_stream() {
@@ -186,6 +198,10 @@ class CheckpointManager {
 
   // Streaming-restore admission state: while restoring_ is set,
   // nvchkptall defers (skips) any chunk still in restore_pending_.
+  // streaming_ holds the running restore between begin and await.
+  struct StreamingRestore;
+  std::unique_ptr<StreamingRestore> streaming_;
+  void restore_streaming_chunk(StreamingRestore& st, alloc::Chunk& c);
   std::atomic<bool> restoring_{false};
   mutable std::mutex restore_mu_;  // guards restore_pending_
   std::unordered_set<std::uint64_t> restore_pending_;

@@ -15,6 +15,7 @@ namespace {
 
 constexpr int kAppClass = 0;
 constexpr int kCkptClass = 1;
+constexpr double kTimelineBucket = 5.0;  // seconds per peak-rate bucket
 
 /// One synchronized SPMD job over the whole topology. Per-node state is
 /// deliberately tiny (an RNG stream and a barrier slot): 10k nodes cost
@@ -57,11 +58,13 @@ class ScaleSim {
     node_rng_.reserve(static_cast<std::size_t>(topo_.nodes()));
     for (int i = 0; i < topo_.nodes(); ++i) node_rng_.push_back(root.fork());
 
+    // Only rack 0 keeps a timeline: racks carry identical per-node
+    // traffic, and a 10k-node sweep cannot afford one per rack.
     uplinks_.reserve(static_cast<std::size_t>(topo_.racks()));
     for (int r = 0; r < topo_.racks(); ++r) {
       uplinks_.push_back(std::make_unique<SharedBandwidth>(
-          eng_, cfg_.rack_uplink_bw, /*timeline_bucket=*/1.0, /*classes=*/2,
-          /*track_timelines=*/false));
+          eng_, cfg_.rack_uplink_bw, kTimelineBucket, /*classes=*/2,
+          /*track_timelines=*/r == 0));
     }
   }
 
@@ -112,6 +115,8 @@ class ScaleSim {
     r.remote_bytes = restore_bytes_;
     for (const auto& u : uplinks_) r.remote_bytes += u->total_bytes(kCkptClass);
     r.app_comm_seconds = app_comm_seconds_;
+    r.local_blocking = local_blocking_;
+    r.peak_uplink_ckpt_rate = uplinks_[0]->timeline(kCkptClass).peak_rate();
     r.events_fired = eng_.events_fired();
     r.queue_drained = eng_.pending() == 0 && drain_steps < kDrainCap;
     return r;
@@ -194,6 +199,7 @@ class ScaleSim {
   // ---- checkpointing ----------------------------------------------------
   void begin_local_checkpoint() {
     phase_ = Phase::kCkpt;
+    ckpt_start_ = eng_.now();
     barrier_ = topo_.nodes();
     const double residual =
         (cfg_.precopy && result_.local_checkpoints > 0)
@@ -201,7 +207,7 @@ class ScaleSim {
             : 1.0;
     // Pre-copy streams the rest during compute; account the inflated NVM
     // traffic analytically instead of spending one background flow per
-    // node per iteration on it (the one-node sim models that fine detail).
+    // node per iteration on it.
     nvm_bytes_ += static_cast<double>(topo_.nodes()) * cfg_.ckpt_bytes *
                   (residual < 1.0 ? cfg_.precopy_inflation : 1.0);
     const double base = cfg_.ckpt_bytes * residual / cfg_.nvm_bw;
@@ -215,6 +221,7 @@ class ScaleSim {
   }
 
   void end_local_checkpoint() {
+    local_blocking_ += eng_.now() - ckpt_start_;
     ++result_.local_checkpoints;
     last_local_ckpt_ = eng_.now();
     committed_local_ = compute_done_;
@@ -288,9 +295,8 @@ class ScaleSim {
 
   // ---- failures ---------------------------------------------------------
   /// Compute-seconds (per node) of the in-flight iteration a failure right
-  /// now destroys -- same accounting as the one-node sim's fix: elapsed
-  /// slice mid-compute, the whole iteration once compute finished but the
-  /// barrier has not credited it.
+  /// now destroys: the elapsed slice mid-compute, the whole iteration once
+  /// compute finished but the barrier has not credited it.
   double lost_in_iteration() const {
     if (iter_work_ <= 0) return 0;
     switch (phase_) {
@@ -425,6 +431,7 @@ class ScaleSim {
   double iter_work_ = 0;
   double iter_start_ = 0;
   double comm_start_ = 0;
+  double ckpt_start_ = 0;
   int barrier_ = 0;
   int iterations_ = 0;
 
@@ -440,6 +447,7 @@ class ScaleSim {
   double nvm_bytes_ = 0;
   double restore_bytes_ = 0;
   double app_comm_seconds_ = 0;
+  double local_blocking_ = 0;
   ScaleResult result_;  // counters filled in-place
 };
 
@@ -457,6 +465,29 @@ const char* to_string(RemoteStrategy s) {
 ScaleResult run_scale_cluster(const ScaleConfig& cfg) {
   ScaleSim sim(cfg);
   return sim.run();
+}
+
+ScaleConfig fig9_config() {
+  constexpr int kNodes = 8;
+  ScaleConfig cfg;
+  cfg.topo.nodes = kNodes;
+  cfg.topo.nodes_per_rack = kNodes;
+  cfg.topo.racks_per_switch = 1;
+  cfg.strategy = RemoteStrategy::kReplication;
+  cfg.ring_rack_stride = 0;  // in-rack pairwise buddy
+  cfg.compute_per_iter = 4.0;
+  cfg.compute_jitter = 0;
+  cfg.comm_bytes_per_iter = 0.8e9;
+  cfg.total_compute = 1200.0;
+  cfg.ckpt_bytes = 4.7e9;  // ~433 MB/core, 4.7 GB/node (paper)
+  cfg.local_interval = 40.0;
+  cfg.remote_interval = 120.0;
+  cfg.nvm_bw = 2.0e9;
+  cfg.rack_uplink_bw = kNodes * 5.0e9;
+  // Failure split per X. Dong et al.: mostly transient.
+  cfg.node_soft_mtbf = kNodes * 400.0;
+  cfg.node_hard_mtbf = kNodes * 2400.0;
+  return cfg;
 }
 
 }  // namespace nvmcp::sim

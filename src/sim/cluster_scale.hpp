@@ -1,5 +1,5 @@
-// Multi-node cluster checkpoint simulation: the Fig-9 model pushed from
-// the paper's 8-node shape to O(10^4) nodes / O(10^6) events.
+// Cluster checkpoint simulation, from the paper's 8-node Fig-9 shape
+// (fig9_config()) to O(10^4) nodes / O(10^6) events.
 //
 // Models one synchronized SPMD job across a rack/switch topology:
 //
@@ -9,8 +9,8 @@
 //    with checkpoint traffic -- the paper's "communication noise"), and
 //    barrier;
 //  * local checkpoints block on each node's own NVM at `local_interval`
-//    (pre-copy reduces the blocking residual exactly as in the one-node
-//    sim; the background stream is accounted as inflated NVM bytes);
+//    (pre-copy shrinks the blocking step to the residual dirty fraction;
+//    the background stream is accounted as inflated NVM bytes);
 //  * remote cuts ship redundancy over the rack uplinks at
 //    `remote_interval`, with per-local-interval pre-copy slices, under
 //    one of three placement strategies:
@@ -112,6 +112,11 @@ struct ScaleResult {
   double nvm_bytes = 0;        // cluster-total NVM writes
   double remote_bytes = 0;     // cluster-total uplink checkpoint bytes
   double app_comm_seconds = 0; // job-level time in communication phases
+  double local_blocking = 0;   // job-level time in blocking local steps
+  // Peak checkpoint-class rate on rack 0's uplink (bytes/s, 5 s buckets);
+  // every rack carries the same per-node traffic, so one rack stands in
+  // for all of them.
+  double peak_uplink_ckpt_rate = 0;
 
   std::uint64_t events_fired = 0;
   bool queue_drained = false;
@@ -119,5 +124,12 @@ struct ScaleResult {
 
 /// Run one configuration to completion; deterministic for a given seed.
 ScaleResult run_scale_cluster(const ScaleConfig& cfg);
+
+/// The paper's Fig-9 cluster: 8 nodes in one rack with in-rack pairwise
+/// buddies, no OS-noise jitter, a 5 GB/s uplink share per node, and the
+/// GTC shape (4.7 GB per node, 40 s local / 120 s remote intervals). The
+/// failure rates are per node, 8x the job-level 400 s soft / 2400 s hard
+/// MTBF, so the job as a whole sees the paper's failure rate.
+ScaleConfig fig9_config();
 
 }  // namespace nvmcp::sim

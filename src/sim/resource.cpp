@@ -1,6 +1,7 @@
 #include "sim/resource.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "common/error.hpp"
@@ -35,16 +36,16 @@ void SharedBandwidth::advance() {
     return;
   }
   const double share = rate_ / static_cast<double>(flows_.size());
-  for (auto& f : flows_) {
-    const double moved = std::min(f->remaining, share * dt);
-    f->remaining -= moved;
-    totals_[static_cast<std::size_t>(f->cls)] += moved;
+  for (Flow& f : flows_) {
+    const double moved = std::min(f.remaining, share * dt);
+    f.remaining -= moved;
+    totals_[static_cast<std::size_t>(f.cls)] += moved;
     // Fluid model: the bytes moved uniformly over [last_t_, now], so
     // spread them across every timeline bucket the window covers -- a
     // long single-flow transfer must not appear as one spike.
     if (track_timelines_) {
-      timelines_[static_cast<std::size_t>(f->cls)].add_range(last_t_, now,
-                                                             moved);
+      timelines_[static_cast<std::size_t>(f.cls)].add_range(last_t_, now,
+                                                            moved);
     }
   }
   last_t_ = now;
@@ -54,22 +55,19 @@ void SharedBandwidth::reschedule() {
   next_completion_.cancel();
   if (flows_.empty()) return;
   double min_remaining = std::numeric_limits<double>::infinity();
-  for (const auto& f : flows_) {
-    min_remaining = std::min(min_remaining, f->remaining);
+  for (const Flow& f : flows_) {
+    min_remaining = std::min(min_remaining, f.remaining);
   }
   const double share = rate_ / static_cast<double>(flows_.size());
   const double dt = std::max(0.0, min_remaining / share);
   next_completion_ = eng_->schedule_in(dt, [this] {
     advance();
     // Complete every flow that drained (multiple can tie).
-    std::vector<FlowHandle> finished;
+    std::list<Flow> finished;
     for (auto it = flows_.begin(); it != flows_.end();) {
-      if ((*it)->remaining <= kEps) {
-        finished.push_back(*it);
-        it = flows_.erase(it);
-      } else {
-        ++it;
-      }
+      const auto next = std::next(it);
+      if (it->remaining <= kEps) finished.splice(finished.end(), flows_, it);
+      it = next;
     }
     if (finished.empty() && !flows_.empty()) {
       // This event fires exactly when the minimum-remaining flow should
@@ -79,37 +77,25 @@ void SharedBandwidth::reschedule() {
       // advance time and livelock.
       auto min_it = flows_.begin();
       for (auto it = flows_.begin(); it != flows_.end(); ++it) {
-        if ((*it)->remaining < (*min_it)->remaining) min_it = it;
+        if (it->remaining < min_it->remaining) min_it = it;
       }
-      (*min_it)->remaining = 0;
-      finished.push_back(*min_it);
-      flows_.erase(min_it);
+      min_it->remaining = 0;
+      finished.splice(finished.end(), flows_, min_it);
     }
     reschedule();
-    for (auto& f : finished) {
-      f->done_ = true;
-      if (f->on_done) f->on_done(eng_->now() - f->start_time);
+    for (Flow& f : finished) {
+      if (f.on_done) f.on_done(eng_->now() - f.start_time);
     }
   });
 }
 
-SharedBandwidth::FlowHandle SharedBandwidth::submit(
-    double bytes, int traffic_class, std::function<void(double)> on_done) {
+void SharedBandwidth::submit(double bytes, int traffic_class,
+                             std::function<void(double)> on_done) {
   if (bytes < 0) throw NvmcpError("SharedBandwidth: negative flow size");
   advance();
-  auto flow = std::make_shared<Flow>();
-  flow->remaining = bytes;  // sub-epsilon flows complete at the next event
-  flow->start_time = eng_->now();
-  flow->cls = traffic_class;
-  flow->on_done = std::move(on_done);
-  flows_.push_back(flow);
-  reschedule();
-  return flow;
-}
-
-void SharedBandwidth::cancel(const FlowHandle& flow) {
-  advance();
-  flows_.remove(flow);
+  // Sub-epsilon flows complete at the next event.
+  flows_.push_back(
+      Flow{bytes, eng_->now(), traffic_class, std::move(on_done)});
   reschedule();
 }
 

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
 
 #include "common/stats.hpp"
 #include "sim/engine.hpp"
@@ -32,18 +31,12 @@ class SharedBandwidth {
   SharedBandwidth(const SharedBandwidth&) = delete;
   SharedBandwidth& operator=(const SharedBandwidth&) = delete;
 
-  class Flow;
-  using FlowHandle = std::shared_ptr<Flow>;
-
   /// Start a flow; `on_done(elapsed)` fires at completion in sim time.
-  /// The handle allows cancellation (failure injection).
-  FlowHandle submit(double bytes, int traffic_class,
-                    std::function<void(double)> on_done);
+  void submit(double bytes, int traffic_class,
+              std::function<void(double)> on_done);
 
-  /// Cancel a flow (no completion callback fires).
-  void cancel(const FlowHandle& flow);
-
-  /// Cancel every active flow.
+  /// Cancel every active flow (failure injection; no completion callback
+  /// fires).
   void cancel_all();
 
   std::size_t active_flows() const { return flows_.size(); }
@@ -58,20 +51,14 @@ class SharedBandwidth {
     return totals_[static_cast<std::size_t>(traffic_class)];
   }
 
-  class Flow {
-   public:
-    bool done() const { return done_; }
-
-   private:
-    friend class SharedBandwidth;
+ private:
+  struct Flow {
     double remaining = 0;
     double start_time = 0;
     int cls = 0;
     std::function<void(double)> on_done;
-    bool done_ = false;
   };
 
- private:
   void advance();     // progress all flows to eng.now(), attribute bytes
   void reschedule();  // (re)arm the next-completion event
 
@@ -79,7 +66,7 @@ class SharedBandwidth {
   double rate_;
   double last_t_ = 0;
   bool track_timelines_;
-  std::list<FlowHandle> flows_;
+  std::list<Flow> flows_;
   EventHandle next_completion_;
   std::vector<TimeSeries> timelines_;
   std::vector<double> totals_;

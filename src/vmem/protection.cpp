@@ -459,14 +459,27 @@ bool ProtectionManager::handle_fault(void* addr) {
     if (r->lazy_state.compare_exchange_strong(
             expected, static_cast<int>(LazyState::kCopying),
             std::memory_order_acq_rel)) {
-      mprotect_calls_.fetch_add(1, std::memory_order_relaxed);
-      if (::mprotect(r->start, r->len, PROT_READ | PROT_WRITE) != 0) {
+      // Fill a private staging mapping, then move it over the armed range
+      // in one step: a thread that has not faulted yet either still traps
+      // on PROT_NONE (and waits below) or reads restored bytes -- never a
+      // readable range that is only partly filled.
+      void* stage = ::mmap(nullptr, r->len, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (stage == MAP_FAILED) {
         r->lazy_state.store(static_cast<int>(LazyState::kFailed),
                             std::memory_order_release);
         return false;
       }
-      std::memcpy(r->start, r->lazy_src, r->lazy_len);
-      const bool ok = crc64(r->start, r->lazy_len) == r->lazy_crc;
+      std::memcpy(stage, r->lazy_src, r->lazy_len);
+      const bool ok = crc64(stage, r->lazy_len) == r->lazy_crc;
+      mprotect_calls_.fetch_add(1, std::memory_order_relaxed);
+      if (::mremap(stage, r->len, r->len, MREMAP_MAYMOVE | MREMAP_FIXED,
+                   r->start) == MAP_FAILED) {
+        ::munmap(stage, r->len);
+        r->lazy_state.store(static_cast<int>(LazyState::kFailed),
+                            std::memory_order_release);
+        return false;
+      }
       r->armed.store(false, std::memory_order_release);
       r->tracker->faults.fetch_add(1, std::memory_order_acq_rel);
       r->tracker->mark_dirty();  // restored data needs re-persisting

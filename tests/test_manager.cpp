@@ -730,10 +730,13 @@ TEST(StreamingRestore, CommitsAreDeferredWhileChunksStillStreamIn) {
   s.mgr->nvchkptall();
   for (auto* c : chunks) fill_seeded(*c, 999);
 
+  // Arm admission before the first concurrent commit: a round that ran
+  // ahead of it would commit the 999 fill as the newest epoch.
+  s.mgr->begin_restore_streaming();
   CheckpointManager::StreamingRestoreReport rep;
   std::atomic<bool> done{false};
   std::thread restorer([&] {
-    rep = s.mgr->restore_streaming();
+    rep = s.mgr->await_restore_streaming();
     done.store(true, std::memory_order_release);
   });
   // The application keeps taking coordinated checkpoints throughout the

@@ -1,6 +1,6 @@
 // Determinism equivalence: the calendar-queue engine and the legacy
 // binary-heap reference engine must fire identical (time, seq) orders for
-// the same program, and the cluster simulators must produce bit-identical
+// the same program, and the cluster simulator must produce bit-identical
 // results on either backend for the same seed.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/cluster.hpp"
 #include "sim/cluster_scale.hpp"
 #include "sim/engine.hpp"
 
@@ -91,30 +90,39 @@ TEST(SimDeterminism, CalendarMatchesReferenceHeapFireOrder) {
   }
 }
 
+// The paper's 8-node Fig-9 cluster with soft and hard failures (job-level
+// MTBFs 110 s / 350 s) on both backends.
 TEST(SimDeterminism, ClusterBitIdenticalAcrossEngines) {
-  ClusterConfig cfg;
+  ScaleConfig cfg = fig9_config();
   cfg.total_compute = 400.0;
-  cfg.mtbf_local = 110.0;
-  cfg.mtbf_remote = 350.0;
+  cfg.node_soft_mtbf = cfg.topo.nodes * 110.0;
+  cfg.node_hard_mtbf = cfg.topo.nodes * 350.0;
   cfg.remote_enabled = true;
+  int soft = 0, hard = 0;
   for (std::uint64_t seed : {3ull, 17ull, 99ull}) {
     cfg.seed = seed;
     cfg.reference_engine = false;
-    const ClusterResult cal = run_cluster(cfg);
+    const ScaleResult cal = run_scale_cluster(cfg);
     cfg.reference_engine = true;
-    const ClusterResult ref = run_cluster(cfg);
+    const ScaleResult ref = run_scale_cluster(cfg);
     EXPECT_EQ(cal.wall, ref.wall) << "seed " << seed;
     EXPECT_EQ(cal.efficiency, ref.efficiency);
     EXPECT_EQ(cal.iterations, ref.iterations);
     EXPECT_EQ(cal.lost_work, ref.lost_work);
     EXPECT_EQ(cal.nvm_bytes, ref.nvm_bytes);
-    EXPECT_EQ(cal.link_ckpt_bytes, ref.link_ckpt_bytes);
+    EXPECT_EQ(cal.remote_bytes, ref.remote_bytes);
+    EXPECT_EQ(cal.local_blocking, ref.local_blocking);
+    EXPECT_EQ(cal.peak_uplink_ckpt_rate, ref.peak_uplink_ckpt_rate);
     EXPECT_EQ(cal.soft_failures, ref.soft_failures);
     EXPECT_EQ(cal.hard_failures, ref.hard_failures);
     EXPECT_EQ(cal.events_fired, ref.events_fired);
     EXPECT_TRUE(cal.queue_drained);
     EXPECT_TRUE(ref.queue_drained);
+    soft += cal.soft_failures;
+    hard += cal.hard_failures;
   }
+  EXPECT_GT(soft, 0);
+  EXPECT_GT(hard, 0);
 }
 
 TEST(SimDeterminism, ScaleClusterBitIdenticalAcrossEngines) {
@@ -162,6 +170,23 @@ TEST(SimDeterminism, ScaleClusterRepeatsForSameSeed) {
   cfg.seed = 6;
   const ScaleResult c = run_scale_cluster(cfg);
   EXPECT_NE(a.wall, c.wall);
+
+  // The Fig-9 preset under random soft failures (job-level MTBF 150 s).
+  ScaleConfig fig9 = fig9_config();
+  fig9.total_compute = 400.0;
+  fig9.node_soft_mtbf = fig9.topo.nodes * 150.0;
+  fig9.node_hard_mtbf = 0;
+  fig9.seed = 99;
+  const ScaleResult p = run_scale_cluster(fig9);
+  const ScaleResult q = run_scale_cluster(fig9);
+  EXPECT_GT(p.soft_failures, 0);
+  EXPECT_EQ(p.wall, q.wall);
+  EXPECT_EQ(p.soft_failures, q.soft_failures);
+  EXPECT_EQ(p.iterations, q.iterations);
+  fig9.seed = 1;
+  const double w1 = run_scale_cluster(fig9).wall;
+  fig9.seed = 2;
+  EXPECT_NE(w1, run_scale_cluster(fig9).wall);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Processor-sharing bandwidth resource: exact completion times for single
-// and concurrent flows, cancellation, and timeline accounting.
+// and concurrent flows, cancel_all, and timeline accounting.
 #include <gtest/gtest.h>
 
 #include "sim/resource.hpp"
@@ -54,21 +54,6 @@ TEST(SimResource, DepartureSpeedsUpRemaining) {
   // Until t=1 both at 50 B/s (small:50 done, big:100 left); then big alone
   // at 100 B/s: one more second.
   EXPECT_NEAR(big_done, 2.0, 1e-9);
-}
-
-TEST(SimResource, CancelRemovesFlow) {
-  Engine eng;
-  SharedBandwidth pipe(eng, 100.0);
-  bool cancelled_fired = false;
-  double other_done = -1;
-  auto victim = pipe.submit(1000.0, 0,
-                            [&](double) { cancelled_fired = true; });
-  pipe.submit(100.0, 0, [&](double) { other_done = eng.now(); });
-  eng.schedule_at(0.5, [&] { pipe.cancel(victim); });
-  eng.run();
-  EXPECT_FALSE(cancelled_fired);
-  // 0..0.5s shared (other moves 25); then alone: 75 left at 100 B/s.
-  EXPECT_NEAR(other_done, 1.25, 1e-9);
 }
 
 TEST(SimResource, CancelAllSilencesEverything) {

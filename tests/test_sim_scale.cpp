@@ -149,6 +149,18 @@ TEST(SimScale, SoftFailuresRecoverLocally) {
   EXPECT_EQ(r.recoveries_local, r.soft_failures);
   EXPECT_GT(r.lost_work, 0.0);
   EXPECT_TRUE(r.queue_drained);
+
+  // Random soft and hard failures on the Fig-9 preset, with remote
+  // pre-copy flows in flight: late outages and unfinished flows are all
+  // guarded, so the queue still drains after the job finishes.
+  ScaleConfig fig9 = fig9_config();
+  fig9.total_compute = 400.0;
+  fig9.node_soft_mtbf = fig9.topo.nodes * 90.0;
+  fig9.node_hard_mtbf = fig9.topo.nodes * 300.0;
+  const ScaleResult f = run_scale_cluster(fig9);
+  EXPECT_GT(f.soft_failures + f.hard_failures, 0);
+  EXPECT_TRUE(f.queue_drained);
+  EXPECT_GT(f.events_fired, 0u);
 }
 
 TEST(SimScale, EfficiencyIsWallConsistent) {
@@ -158,6 +170,15 @@ TEST(SimScale, EfficiencyIsWallConsistent) {
   EXPECT_NEAR(r.efficiency * r.wall, r.ideal, 1e-6 * r.ideal);
   EXPECT_GT(r.efficiency, 0.0);
   EXPECT_LT(r.efficiency, 1.0);
+
+  // Same on the Fig-9 preset under soft failures (job-level MTBF 120 s).
+  ScaleConfig fig9 = fig9_config();
+  fig9.total_compute = 400.0;
+  fig9.node_soft_mtbf = fig9.topo.nodes * 120.0;
+  fig9.node_hard_mtbf = 0;
+  const ScaleResult f = run_scale_cluster(fig9);
+  EXPECT_GT(f.soft_failures, 0);
+  EXPECT_NEAR(f.wall * f.efficiency, f.ideal, 1e-6);
 }
 
 // 10 240-node correlated-failure frontier point: the acceptance shape from
