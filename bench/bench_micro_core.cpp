@@ -66,6 +66,22 @@ void BM_Crc64StreamingUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc64StreamingUpdate)->Arg(1 << 20)->Arg(16 << 20);
 
+// One incremental write-log commit interval of the redis shape: ~10.8k
+// merged ranges spread over 24 4 MiB shards, each needing one crc64_shift
+// across the clean gap behind it. Reported time is per interval.
+void BM_Crc64ShiftInterval(benchmark::State& state) {
+  constexpr std::size_t kRanges = 10800;
+  Rng rng(3);
+  std::vector<std::uint64_t> gaps(kRanges);
+  for (auto& g : gaps) g = rng.next_below(2 * (4 * MiB) / 450);
+  std::uint64_t s = 0x1234;
+  for (auto _ : state) {
+    for (const std::uint64_t g : gaps) s = crc64_shift(s ^ g, g);
+    benchmark::DoNotOptimize(s);
+  }
+}
+BENCHMARK(BM_Crc64ShiftInterval)->Unit(benchmark::kMillisecond);
+
 void BM_CheckpointChunk(benchmark::State& state) {
   NvmConfig cfg;
   cfg.capacity = 64 * MiB;

@@ -97,6 +97,15 @@ class Chunk {
   vmem::ChunkRecord& record() { return *record_; }
   const vmem::ChunkRecord& record() const { return *record_; }
 
+  /// Entries across every slot's pending-range list (incremental tracking
+  /// modes). Read between commits: the lists belong to the checkpoint
+  /// mutex.
+  std::size_t pending_range_entries() const {
+    std::size_t n = 0;
+    for (const auto& ranges : slot_ranges_pending_) n += ranges.size();
+    return n;
+  }
+
  private:
   friend class ChunkAllocator;
   Chunk() = default;
@@ -129,16 +138,19 @@ class Chunk {
   static constexpr std::uint32_t kEntropyUnknown = ~0u;
   std::atomic<std::uint32_t> entropy_millibits_{kEntropyUnknown};
 
-  // Page-level tracking mode only: per-NVM-slot pending page sets (a page
-  // is pending for a slot until its contents have been copied into that
-  // slot). One byte per page; guarded by the manager's checkpoint mutex.
-  // Two slots in the legacy two-slot scheme, kMaxRingSlots with a ring.
-  std::vector<std::vector<std::uint8_t>> slot_pages_pending_;
-
-  // kWriteLog only: per-NVM-slot pending dirty byte ranges (a logged range
-  // stays pending for a slot until copied into it). Guarded by the
-  // manager's checkpoint mutex. Sized like slot_pages_pending_.
+  // kWriteLog and kMprotectPage only: per-NVM-slot pending dirty byte
+  // ranges (a logged range or dirtied page stays pending for a slot until
+  // copied into it; outside them the slot equals DRAM). Two slots in the
+  // legacy two-slot scheme, kMaxRingSlots with a ring. Guarded by the
+  // manager's checkpoint mutex.
   std::vector<std::vector<vmem::DirtyRange>> slot_ranges_pending_;
+
+  // Bit i set: slot i's pending list no longer describes how the slot
+  // differs from DRAM (the slot failed verification, or a restore put
+  // some other payload in DRAM), so its next commit rewrites it whole.
+  // Set from restore/read paths on any thread; consumed by precopy_chunk
+  // under the checkpoint mutex.
+  mutable std::atomic<std::uint32_t> slot_rewrite_{0};
 
   // Multi-version mode only (allocator ring_depth > 1): this chunk's
   // version ring, plus the ring slot acquired by the last pre-copy and

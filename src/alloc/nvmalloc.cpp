@@ -236,24 +236,15 @@ std::size_t ChunkAllocator::pending_slot_count() const {
 }
 
 void ChunkAllocator::reset_pending_lists(Chunk& c) {
-  const std::size_t nslots = pending_slot_count();
-  if (c.mode_ == vmem::TrackMode::kMprotectPage) {
-    const std::size_t track_len = c.owns_dram_ ? c.dram_capacity_ : c.size_;
-    const std::size_t pages =
-        track_len / vmem::ProtectionManager::host_page_size();
-    c.slot_pages_pending_.assign(nslots,
-                                 std::vector<std::uint8_t>(pages, 1));
-  } else if (c.mode_ == vmem::TrackMode::kWriteLog) {
+  if (c.mode_ == vmem::TrackMode::kMprotectPage ||
+      c.mode_ == vmem::TrackMode::kWriteLog) {
     c.slot_ranges_pending_.assign(
-        nslots, std::vector<vmem::DirtyRange>{{0, c.size_}});
+        pending_slot_count(), std::vector<vmem::DirtyRange>{{0, c.size_}});
   }
 }
 
 void ChunkAllocator::reset_pending_slot(Chunk& c, std::uint32_t slot) {
-  if (c.mode_ == vmem::TrackMode::kMprotectPage) {
-    auto& pages = c.slot_pages_pending_[slot];
-    std::fill(pages.begin(), pages.end(), 1);
-  } else if (c.mode_ == vmem::TrackMode::kWriteLog) {
+  if (slot < c.slot_ranges_pending_.size()) {
     c.slot_ranges_pending_[slot] = {{0, c.size_}};
   }
 }
@@ -510,49 +501,51 @@ double ChunkAllocator::precopy_chunk(Chunk& c, std::uint64_t epoch,
   // CRC-then-copy order had a tear window between the two passes.)
   auto& dev = container_->device();
   const vmem::ChunkRecord& rec = *c.record_;
+  // Slots a failed verification or a restore invalidated are rewritten
+  // whole.
+  const std::uint32_t rewrite =
+      c.slot_rewrite_.exchange(0, std::memory_order_acq_rel);
+  for (std::uint32_t i = 0; i < c.slot_ranges_pending_.size(); ++i) {
+    if ((rewrite >> i) & 1) reset_pending_slot(c, i);
+  }
+  // `base` is the checksum of the target slot's current bytes, which the
+  // incremental paths update.
   std::uint32_t slot;
   std::uint64_t dst_off;
+  std::uint64_t base = 0;
   if (c.ring_) {
     if (c.ring_slot_ == Chunk::kNoRingSlot) {
       const auto acq = c.ring_->acquire_for_commit();
       c.ring_slot_ = acq.index;
       c.ring_slot_off_ = acq.off;
-      if (acq.fresh) {
+      if (acq.had_committed) {
+        base = acq.prev_checksum;
+      } else {
+        // A fresh region, or an in-progress slot an earlier handle left:
+        // its bytes are unknown.
         reset_pending_slot(c, acq.index);
-      } else if (acq.had_committed &&
-                 (c.mode_ == vmem::TrackMode::kMprotectPage ||
-                  c.mode_ == vmem::TrackMode::kWriteLog)) {
-        // Reusing a slot that still holds an older committed epoch: the
-        // incremental paths below fold the slot's clean bytes into the
-        // new checksum, which would launder any in-place corruption of
-        // those bytes into a committed-consistent state. Verify the slot
-        // against the checksum it was committed with and downgrade to a
-        // whole-chunk copy if it no longer matches.
-        std::uint64_t vsum = crc64_init();
-        vsum = crc64_update(vsum, dev.data() + acq.off, c.size_);
-        if (crc64_final(vsum) != acq.prev_checksum) {
-          dir_->note_slot_corruption();
-          reset_pending_slot(c, acq.index);
-        }
       }
+    } else {
+      base = c.pending_checksum_;  // pre-copied earlier this cycle
     }
     slot = c.ring_slot_;
     dst_off = c.ring_slot_off_;
   } else {
     slot = rec.in_progress_slot();
     dst_off = rec.slot_off[slot];
+    base = c.precopied_epoch_ ? c.pending_checksum_ : rec.checksum[slot];
   }
-  std::uint64_t sum = crc64_init();
   double secs;
-  if (c.mode_ == vmem::TrackMode::kMprotectPage) {
-    secs = copy_dirty_pages_locked(c, slot, dst_off, stream, &sum);
-  } else if (c.mode_ == vmem::TrackMode::kWriteLog) {
-    secs = copy_dirty_ranges_locked(c, slot, dst_off, stream, &sum);
+  if (c.mode_ == vmem::TrackMode::kMprotectPage ||
+      c.mode_ == vmem::TrackMode::kWriteLog) {
+    secs = copy_incremental_locked(c, slot, dst_off, base, stream,
+                                   &c.pending_checksum_);
   } else {
+    std::uint64_t sum = crc64_init();
     secs = dev.write(dst_off, c.dram_, c.size_, stream, &sum);
+    dev.flush(dst_off, c.size_);
+    c.pending_checksum_ = crc64_final(sum);
   }
-  dev.flush(dst_off, c.size_);
-  c.pending_checksum_ = crc64_final(sum);
   c.precopied_epoch_ = epoch;
   // Codec probe, fused into the copy pass like the CRC: a strided sample
   // of the payload just copied feeds the remote helper's codec tuner. The
@@ -565,111 +558,90 @@ double ChunkAllocator::precopy_chunk(Chunk& c, std::uint64_t epoch,
   return secs;
 }
 
-double ChunkAllocator::copy_dirty_pages_locked(Chunk& c, std::uint32_t slot,
+double ChunkAllocator::copy_incremental_locked(Chunk& c, std::uint32_t slot,
                                                std::uint64_t dst_off,
+                                               std::uint64_t base,
                                                BandwidthLimiter* stream,
-                                               std::uint64_t* crc_state) {
+                                               std::uint64_t* checksum) {
   auto& prot = vmem::ProtectionManager::instance();
   auto& dev = container_->device();
-  const std::size_t page = vmem::ProtectionManager::host_page_size();
+  const bool pages = c.mode_ == vmem::TrackMode::kMprotectPage;
 
-  // Pages dirtied since the last collection become pending for EVERY
+  // Ranges dirtied since the last collection become pending for EVERY
   // slot: each slot independently needs the new contents before the next
-  // commit into it is complete.
-  for (const std::size_t p : prot.collect_dirty_pages(c.prot_handle_)) {
-    for (auto& pages : c.slot_pages_pending_) pages[p] = 1;
-  }
-
-  // Walk the payload in offset order, alternating runs of pending and
-  // clean pages: pending runs are written (CRC fused into the copy),
-  // clean runs only feed the CRC — the whole-chunk checksum covers every
-  // byte while only dirty pages move.
-  auto& pending = c.slot_pages_pending_[slot];
-  double secs = 0;
-  std::size_t p = 0;
-  while (p < pending.size()) {
-    const bool run_pending = pending[p] != 0;
-    std::size_t q = p;
-    while (q < pending.size() && (pending[q] != 0) == run_pending) ++q;
-    const std::size_t off = p * page;
-    if (off < c.size_) {
-      const std::size_t len = std::min(q * page, c.size_) - off;
-      if (run_pending) {
-        secs += dev.write(dst_off + off, c.dram_ + off, len, stream,
-                          crc_state);
-      } else if (crc_state) {
-        // Clean runs feed the CRC from the slot's own bytes, not from
-        // DRAM: a store racing this walk could change DRAM after the run
-        // was classified clean, and the checksum must describe the slot
-        // content the commit will publish.
-        *crc_state =
-            crc64_update(*crc_state, dev.data() + dst_off + off, len);
+  // commit into it is complete. A list that already covers the whole
+  // chunk takes nothing more, so the lists of slots a ring never acquires
+  // stay one entry long.
+  std::vector<vmem::DirtyRange> dirtied;
+  bool whole = false;
+  if (pages) {
+    const std::size_t page = vmem::ProtectionManager::host_page_size();
+    for (const std::size_t p : prot.collect_dirty_pages(c.prot_handle_)) {
+      const std::uint64_t off = p * page;
+      if (off >= c.size_) continue;
+      const std::uint64_t len = std::min<std::uint64_t>(page, c.size_ - off);
+      if (!dirtied.empty() && dirtied.back().end() == off) {
+        dirtied.back().len += len;
+      } else {
+        dirtied.push_back({off, len});
       }
     }
-    if (run_pending) {
-      for (std::size_t i = p; i < q; ++i) pending[i] = 0;
-    }
-    p = q;
-  }
-  return secs;
-}
-
-double ChunkAllocator::copy_dirty_ranges_locked(Chunk& c, std::uint32_t slot,
-                                                std::uint64_t dst_off,
-                                                BandwidthLimiter* stream,
-                                                std::uint64_t* crc_state) {
-  auto& prot = vmem::ProtectionManager::instance();
-  auto& dev = container_->device();
-
-  // Ranges logged since the last collection become pending for EVERY
-  // slot: each slot independently needs the new contents before the next
-  // commit into it is complete (same invariant as the page-level path).
-  auto collected = prot.collect_dirty_ranges(c.prot_handle_);
-  if (collected.whole) {
-    for (auto& ranges : c.slot_ranges_pending_) ranges = {{0, c.size_}};
   } else {
+    auto collected = prot.collect_dirty_ranges(c.prot_handle_);
+    whole = collected.whole;
     for (const vmem::DirtyRange& r : collected.ranges) {
       if (r.off >= c.size_ || r.len == 0) continue;
-      const std::uint64_t len = std::min<std::uint64_t>(r.len,
-                                                        c.size_ - r.off);
-      for (auto& ranges : c.slot_ranges_pending_) {
-        ranges.push_back({r.off, len});
-      }
+      dirtied.push_back(
+          {r.off, std::min<std::uint64_t>(r.len, c.size_ - r.off)});
+    }
+  }
+  for (auto& ranges : c.slot_ranges_pending_) {
+    if (ranges.size() == 1 && ranges[0].len == c.size_) continue;
+    if (whole) {
+      ranges = {{0, c.size_}};
+    } else {
+      ranges.insert(ranges.end(), dirtied.begin(), dirtied.end());
     }
   }
 
   auto& pending = c.slot_ranges_pending_[slot];
-  vmem::merge_dirty_ranges(pending, log_merge_gap_);
-
+  vmem::merge_dirty_ranges(pending, pages ? 0 : log_merge_gap_);
   std::uint64_t covered = 0;
   for (const vmem::DirtyRange& r : pending) covered += r.len;
-  if (covered >= static_cast<std::uint64_t>(
-                     log_max_coverage_ * static_cast<double>(c.size_)) &&
-      covered > 0) {
-    // Dense enough that one sequential whole-chunk write beats many small
-    // ones (and the CRC pass is paid either way).
+  if (covered == c.size_ ||
+      (!pages && covered > 0 &&
+       covered >= static_cast<std::uint64_t>(
+                      log_max_coverage_ * static_cast<double>(c.size_)))) {
+    // Whole-pending (the slot's bytes are unknown), or dense enough that
+    // one sequential whole-chunk write beats many small ones.
     pending.clear();
-    return dev.write(dst_off, c.dram_, c.size_, stream, crc_state);
+    std::uint64_t sum = crc64_init();
+    const double secs = dev.write(dst_off, c.dram_, c.size_, stream, &sum);
+    dev.flush(dst_off, c.size_);
+    *checksum = crc64_final(sum);
+    return secs;
   }
 
-  // Walk the payload in offset order, alternating logged dirty ranges
-  // (written, CRC fused) and clean gaps (CRC fed from the slot's own
-  // bytes -- the checksum must describe what the commit will publish).
+  // Linear checksum update: `delta` is the CRC of (old XOR new) over the
+  // bytes [0, pos), with the clean bytes contributing zeros, which
+  // crc64_shift skips over. The old bytes are CRCed from the slot just
+  // before the write, the new ones fused into the copy from the
+  // destination, so the result describes exactly what the slot now holds.
+  const std::byte* old_bytes = dev.data() + dst_off;
   double secs = 0;
+  std::uint64_t delta = 0;
   std::uint64_t pos = 0;
   for (const vmem::DirtyRange& r : pending) {
-    if (crc_state && r.off > pos) {
-      *crc_state = crc64_update(*crc_state, dev.data() + dst_off + pos,
-                                r.off - pos);
-    }
+    delta = crc64_update(crc64_shift(delta, r.off - pos), old_bytes + r.off,
+                         r.len);
+    std::uint64_t fresh = 0;
     secs += dev.write(dst_off + r.off, c.dram_ + r.off, r.len, stream,
-                      crc_state);
+                      &fresh);
+    dev.flush(dst_off + r.off, r.len);
+    delta ^= fresh;
     pos = r.end();
   }
-  if (crc_state && pos < c.size_) {
-    *crc_state = crc64_update(*crc_state, dev.data() + dst_off + pos,
-                              c.size_ - pos);
-  }
+  *checksum = base ^ crc64_shift(delta, c.size_ - pos);
   pending.clear();
   return secs;
 }
@@ -720,10 +692,29 @@ RestoreStatus ChunkAllocator::restore_chunk(Chunk& c) {
            opts_.verify_checksums ? &sum : nullptr);
   if (opts_.verify_checksums &&
       crc64_final(sum) != rec.checksum[rec.committed]) {
+    note_corrupt_slot(c, committed_slot_index(c));
+    note_dram_replaced(c);
     return RestoreStatus::kChecksumMismatch;
   }
   c.tracker_.mark_dirty();  // restored data is not yet re-checkpointed
   return RestoreStatus::kOk;
+}
+
+void ChunkAllocator::note_corrupt_slot(const Chunk& c,
+                                       std::uint32_t slot) const {
+  c.slot_rewrite_.fetch_or(1u << slot, std::memory_order_acq_rel);
+  if (dir_) dir_->note_slot_corruption();
+}
+
+void ChunkAllocator::note_dram_replaced(Chunk& c) {
+  c.slot_rewrite_.store(~0u, std::memory_order_release);
+}
+
+std::uint32_t ChunkAllocator::committed_slot_index(const Chunk& c) const {
+  const vmem::ChunkRecord& rec = *c.record_;
+  std::uint32_t index = rec.committed;
+  if (c.ring_) c.ring_->find_epoch(rec.epoch[rec.committed], nullptr, &index);
+  return index;
 }
 
 bool ChunkAllocator::restore_chunk_lazy(Chunk& c) {
@@ -754,6 +745,7 @@ bool ChunkAllocator::read_committed(const Chunk& c, void* dst) const {
                             opts_.verify_checksums ? &sum : nullptr);
   if (opts_.verify_checksums &&
       crc64_final(sum) != rec.checksum[rec.committed]) {
+    note_corrupt_slot(c, committed_slot_index(c));
     return false;
   }
   return true;
@@ -771,7 +763,8 @@ RestoreStatus ChunkAllocator::restore_chunk_epoch(Chunk& c,
   // be reclaimed by the GC or reused by a racing commit mid-read.
   c.ring_->pin_epoch(epoch);
   epoch::RingSlot s;
-  if (!c.ring_->find_epoch(epoch, &s)) {
+  std::uint32_t index;
+  if (!c.ring_->find_epoch(epoch, &s, &index)) {
     c.ring_->unpin_epoch(epoch);
     return RestoreStatus::kNoData;
   }
@@ -780,7 +773,11 @@ RestoreStatus ChunkAllocator::restore_chunk_epoch(Chunk& c,
   dev.read(s.off, c.dram_, c.size_, nullptr,
            opts_.verify_checksums ? &sum : nullptr);
   c.ring_->unpin_epoch(epoch);
+  // DRAM now holds an older epoch (or bad bytes): no slot's pending list
+  // describes its difference from DRAM any more.
+  note_dram_replaced(c);
   if (opts_.verify_checksums && crc64_final(sum) != s.checksum) {
+    note_corrupt_slot(c, index);
     return RestoreStatus::kChecksumMismatch;
   }
   c.tracker_.mark_dirty();  // restored data is not yet re-checkpointed
@@ -808,25 +805,32 @@ std::vector<std::uint64_t> ChunkAllocator::retained_epochs(
 
 bool ChunkAllocator::read_retained(Chunk& c, std::uint64_t epoch,
                                    void* dst) {
-  const vmem::ChunkRecord& rec = *c.record_;
-  if (epoch == 0 ||
-      (rec.has_committed() && rec.epoch[rec.committed] == epoch)) {
+  if (epoch == 0 || !c.ring_) {
+    const vmem::ChunkRecord& rec = *c.record_;
+    if (epoch != 0 &&
+        !(rec.has_committed() && rec.epoch[rec.committed] == epoch)) {
+      return false;
+    }
     return read_committed(c, dst);
   }
-  if (!c.ring_) return false;
   // Pin across the read: GC or a racing commit could otherwise reclaim
   // the slot mid-copy (same discipline as restore_chunk_epoch).
   c.ring_->pin_epoch(epoch);
   epoch::RingSlot s;
-  if (!c.ring_->find_epoch(epoch, &s)) {
+  std::uint32_t index;
+  if (!c.ring_->find_epoch(epoch, &s, &index)) {
     c.ring_->unpin_epoch(epoch);
     return false;
   }
   std::uint64_t sum = crc64_init();
-  container_->device().read(s.off, dst, rec.size, nullptr,
+  container_->device().read(s.off, dst, c.size_, nullptr,
                             opts_.verify_checksums ? &sum : nullptr);
   c.ring_->unpin_epoch(epoch);
-  return !opts_.verify_checksums || crc64_final(sum) == s.checksum;
+  if (opts_.verify_checksums && crc64_final(sum) != s.checksum) {
+    note_corrupt_slot(c, index);
+    return false;
+  }
+  return true;
 }
 
 void ChunkAllocator::pin_epoch(Chunk& c, std::uint64_t epoch) {

@@ -160,7 +160,9 @@ class ChunkAllocator {
                           BandwidthLimiter* stream = nullptr,
                           bool skip_arm = false);
 
-  /// Read the committed slot back into DRAM, verifying the checksum.
+  /// Read the committed slot back into DRAM, verifying the checksum. On a
+  /// mismatch DRAM holds the bad bytes, so every slot is rewritten whole
+  /// at its next commit.
   RestoreStatus restore_chunk(Chunk& c);
 
   /// Restore-on-first-access: map the chunk PROT_NONE and copy the
@@ -176,8 +178,14 @@ class ChunkAllocator {
 
   /// Read the committed payload of a chunk record into caller memory
   /// (used by the remote checkpointer, which reads local NVM, and by
-  /// restore-from-remote). Returns false on checksum mismatch.
+  /// restore-from-remote). Returns false on checksum mismatch, and marks
+  /// the slot for a whole rewrite at its next commit.
   bool read_committed(const Chunk& c, void* dst) const;
+
+  /// DRAM was overwritten with a payload other than the newest local
+  /// epoch (a remote fetch, a parity rebuild): every slot's pending list
+  /// is void, so each slot is rewritten whole at its next commit.
+  void note_dram_replaced(Chunk& c);
 
   // --- version ring (ring_depth > 1) -----------------------------------
   /// The epoch directory, or nullptr when ring_depth == 1 (legacy
@@ -192,7 +200,9 @@ class ChunkAllocator {
 
   /// Restore a specific retained epoch into DRAM (0 = newest committed).
   /// The source slot is pinned against GC/reuse for the duration of the
-  /// read. kNoData if the epoch is not retained for this chunk.
+  /// read. kNoData if the epoch is not retained for this chunk. Landing
+  /// an older epoch voids every slot's pending list, so each slot is
+  /// rewritten whole at its next commit.
   RestoreStatus restore_chunk_epoch(Chunk& c, std::uint64_t epoch);
 
   /// Addressable epochs for this chunk, newest first: the record's
@@ -200,11 +210,13 @@ class ChunkAllocator {
   std::vector<std::uint64_t> retained_epochs(const Chunk& c) const;
 
   /// Read the payload of any retained epoch into caller memory without
-  /// touching the chunk's DRAM buffer (delta-codec base reads: the remote
-  /// sender XORs against it, restore decode re-reads it). Epoch 0 or the
-  /// newest committed epoch degrade to read_committed; older epochs come
-  /// from the version ring, pinned for the duration of the read. Returns
-  /// false when the epoch is not retained or fails verification.
+  /// touching the chunk's DRAM buffer (the remote sender's payload and
+  /// delta-base reads, restore decode). With a ring every epoch, the
+  /// newest included, comes from the version ring, pinned for the
+  /// duration of the read, so the record may flip meanwhile; without one
+  /// (or for epoch 0) it is read_committed, and the caller holds the
+  /// commit mutex. Returns false when the epoch is not retained or fails
+  /// verification (which marks its slot like read_committed).
   bool read_retained(Chunk& c, std::uint64_t epoch, void* dst);
 
   /// Pin/unpin a retained epoch against reclamation (streaming-restore
@@ -222,22 +234,25 @@ class ChunkAllocator {
   std::size_t pending_slot_count() const;
   void reset_pending_lists(Chunk& c);
   void reset_pending_slot(Chunk& c, std::uint32_t slot);
-  /// Page-level tracking mode: copy only the pages pending for pending
-  /// list `slot` into the device region at `dst_off`, folding every
-  /// payload byte (copied or clean) into `crc_state` so the whole-chunk
-  /// checksum comes out of the same pass.
-  double copy_dirty_pages_locked(Chunk& c, std::uint32_t slot,
-                                 std::uint64_t dst_off,
+  /// kWriteLog and kMprotectPage: queue the ranges dirtied since the last
+  /// collection on every slot's pending list, then copy only the ranges
+  /// pending for `slot` into the device region at `dst_off` (dirty pages
+  /// become ranges). The slot's checksum is updated linearly from `base`,
+  /// the checksum of the slot's current bytes: each copied range
+  /// contributes the CRC of its old bytes XOR that of its new bytes,
+  /// shifted to the end of the chunk, so clean bytes are never read. A
+  /// whole-pending list, or a write-log list covering more than
+  /// log_max_coverage_, is one sequential whole-chunk copy with a fresh
+  /// checksum instead. Writes the slot's new checksum to `*checksum`.
+  double copy_incremental_locked(Chunk& c, std::uint32_t slot,
+                                 std::uint64_t dst_off, std::uint64_t base,
                                  BandwidthLimiter* stream,
-                                 std::uint64_t* crc_state);
-  /// kWriteLog: copy only the logged dirty byte ranges pending for `slot`
-  /// (merged, clamped, with whole-chunk fallback past the coverage
-  /// threshold), folding every payload byte into `crc_state` like the
-  /// page-level path.
-  double copy_dirty_ranges_locked(Chunk& c, std::uint32_t slot,
-                                  std::uint64_t dst_off,
-                                  BandwidthLimiter* stream,
-                                  std::uint64_t* crc_state);
+                                 std::uint64_t* checksum);
+  /// Slot `slot` failed verification: count it, and rewrite it whole at
+  /// its next commit rather than carrying its error into later epochs.
+  void note_corrupt_slot(const Chunk& c, std::uint32_t slot) const;
+  /// Pending-list index of the slot holding the record's committed epoch.
+  std::uint32_t committed_slot_index(const Chunk& c) const;
 
   vmem::Container* container_;
   Options opts_;

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstring>
+#include <memory>
 
 namespace nvmcp {
 namespace {
@@ -38,7 +39,86 @@ const SliceTables& tables() {
   return t;
 }
 
+// Shift operators. A state is a polynomial over GF(2) of degree < 64 (bit
+// i = coefficient of x^i); feeding one zero byte multiplies it by x^8 mod
+// P. ShiftOp multiplies by a fixed constant c: nib[i][v] holds
+// (v * x^(4i)) * c mod P, so a product is the XOR of 16 nibble lookups.
+struct ShiftOp {
+  std::array<std::array<std::uint64_t, 16>, 16> nib;
+
+  std::uint64_t apply(std::uint64_t s) const {
+    std::uint64_t r = 0;
+    for (std::size_t i = 0; i < 16; ++i) r ^= nib[i][(s >> (4 * i)) & 0xf];
+    return r;
+  }
+};
+
+// ops[j][d - 1] multiplies by x^(8 * d * 16^j): one operator per nonzero
+// hex digit d at position j of the byte count, for counts below 2^32.
+constexpr std::size_t kShiftDigits = 8;
+constexpr std::uint64_t kMaxTableShift = (1ULL << (4 * kShiftDigits)) - 1;
+using ShiftTables = std::array<std::array<ShiftOp, 15>, kShiftDigits>;
+
+ShiftOp make_shift_op(std::uint64_t c) {
+  ShiftOp op{};
+  std::uint64_t basis = c;  // x^k * c mod P, k = 4i .. 4i+3
+  for (std::size_t i = 0; i < 16; ++i) {
+    std::uint64_t b[4];
+    for (std::uint64_t& bk : b) {
+      bk = basis;
+      basis = (basis << 1) ^ ((basis >> 63) ? kPoly : 0);
+    }
+    for (std::size_t v = 0; v < 16; ++v) {
+      std::uint64_t e = 0;
+      for (std::size_t k = 0; k < 4; ++k) {
+        if ((v >> k) & 1) e ^= b[k];
+      }
+      op.nib[i][v] = e;
+    }
+  }
+  return op;
+}
+
+std::unique_ptr<ShiftTables> build_shift_tables() {
+  auto t = std::make_unique<ShiftTables>();
+  std::uint64_t unit = 1ULL << 8;  // x^8: one zero byte
+  for (std::size_t j = 0; j < kShiftDigits; ++j) {
+    std::uint64_t c = unit;  // x^(8 * d * 16^j) for d = 1..15
+    (*t)[j][0] = make_shift_op(c);
+    for (std::size_t d = 1; d < 15; ++d) {
+      c = (*t)[j][0].apply(c);
+      (*t)[j][d] = make_shift_op(c);
+    }
+    unit = (*t)[j][0].apply(c);  // x^(8 * 16^(j+1))
+  }
+  return t;
+}
+
+const ShiftTables& shift_tables() {
+  static const std::unique_ptr<ShiftTables> t = build_shift_tables();
+  return *t;
+}
+
+std::uint64_t shift_below_table_limit(std::uint64_t state, std::uint64_t n) {
+  const ShiftTables& t = shift_tables();
+  for (std::size_t j = 0; n != 0; ++j, n >>= 4) {
+    const std::size_t d = n & 0xf;
+    if (d) state = t[j][d - 1].apply(state);
+  }
+  return state;
+}
+
 }  // namespace
+
+std::uint64_t crc64_shift(std::uint64_t state, std::uint64_t n) {
+  // Counts past the tables (>= 4 GiB, larger than any chunk) take
+  // table-sized steps.
+  while (n > kMaxTableShift) {
+    state = shift_below_table_limit(state, kMaxTableShift);
+    n -= kMaxTableShift;
+  }
+  return shift_below_table_limit(state, n);
+}
 
 std::uint64_t crc64_update(std::uint64_t state, const void* data,
                            std::size_t n) {

@@ -27,6 +27,15 @@ T clamp_field(T v, T lo, T hi) {
   return std::min(std::max(v, lo), hi);
 }
 
+/// The chunk's newest committed epoch (0: none), read under the commit
+/// mutex that commit_chunk rewrites the record under.
+std::uint64_t committed_epoch_of(CheckpointManager& mgr,
+                                 const alloc::Chunk& c) {
+  std::lock_guard<std::mutex> lock(mgr.commit_mutex());
+  const vmem::ChunkRecord& rec = c.record();
+  return rec.has_committed() ? rec.epoch[rec.committed] : 0;
+}
+
 }  // namespace
 
 RemoteRetryPolicy resolve_remote_retry(const RemoteConfig& cfg) {
@@ -254,24 +263,44 @@ void RemoteCheckpointer::release_base_pins() {
 
 RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
     std::size_t mgr_idx, alloc::Chunk& c, bool count_as_precopy, bool paced,
-    int max_attempts, double* backoff_budget) {
+    int max_attempts, double* backoff_budget, bool commit_locked) {
   CheckpointManager& mgr = *managers_[mgr_idx];
+  alloc::ChunkAllocator& a = mgr.allocator();
+  // commit_chunk rewrites the record under the commit mutex, so the
+  // committed epoch (and the delta-base candidate behind it) is read under
+  // it too. With a ring, a pin then keeps that epoch's slot from reuse
+  // once the mutex drops; depth 1 has no pins, so its read stays under the
+  // mutex. Either way a failed read is corruption, never a commit racing
+  // the read.
+  std::unique_lock<std::mutex> commit_lock(mgr.commit_mutex(),
+                                           std::defer_lock);
+  if (!commit_locked) commit_lock.lock();
   const vmem::ChunkRecord& rec = c.record();
   if (!rec.has_committed()) return SendResult{SendStatus::kNothingCommitted};
   const std::uint64_t epoch = rec.epoch[rec.committed];
+  const bool ring = a.ring_depth() > 1;
+  std::uint64_t base_candidate = 0;  // newest retained epoch behind it
+  if (ring) {
+    for (const std::uint64_t e : a.retained_epochs(c)) {
+      if (e < epoch) {
+        base_candidate = e;
+        break;
+      }
+    }
+    a.pin_epoch(c, epoch);
+    if (commit_lock.owns_lock()) commit_lock.unlock();
+  }
 
   // Serialize with the other send path (helper pre-copy vs. external
   // coordination): the staging buffer, the pace limiter and the jitter
   // stream are all single-helper state.
   std::lock_guard<std::mutex> send_lock(send_mu_);
   if (staging_.size() < c.size()) staging_.resize(c.size());
-  // Read the stable committed payload from local NVM ("shared NVM
-  // support"); a torn read is impossible because committed slots are only
-  // replaced after the *next* commit flips away from them, and the commit
-  // pass re-verifies epochs under the commit mutex.
-  if (!mgr.allocator().read_committed(c, staging_.data())) {
-    return SendResult{SendStatus::kLocalReadFailed};
-  }
+  // Read the committed payload from local NVM ("shared NVM support").
+  const bool read_ok = a.read_retained(c, epoch, staging_.data());
+  if (ring) a.unpin_epoch(c, epoch);
+  if (commit_lock.owns_lock()) commit_lock.unlock();
+  if (!read_ok) return SendResult{SendStatus::kLocalReadFailed};
 
   // --- codec stage (fused into the send the way CRC fused into the copy
   // pass): pick a codec, encode once into the frame buffer; retries
@@ -294,19 +323,11 @@ RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
     auto want = compress::Codec::kRaw;
     bool have_base = false;
     if (!raw_only) {
-      // Delta base candidate: the newest retained epoch behind the one
-      // being shipped. Pinned before the read and held (on success) until
-      // the remote frame referencing it is itself superseded, so ring GC
-      // can never reclaim a base a shipped frame still needs.
-      auto& a = mgr.allocator();
-      if (a.ring_depth() > 1) {
-        for (std::uint64_t e : a.retained_epochs(c)) {
-          if (e < epoch) {
-            base_epoch = e;
-            break;
-          }
-        }
-      }
+      // Delta base: the newest retained epoch behind the one being
+      // shipped. Pinned before the read and held (on success) until the
+      // remote frame referencing it is itself superseded, so ring GC can
+      // never reclaim a base a shipped frame still needs.
+      base_epoch = base_candidate;
       if (base_epoch) {
         if (base_buf_.size() < raw_n) base_buf_.resize(raw_n);
         a.pin_epoch(c, base_epoch);
@@ -464,9 +485,9 @@ void RemoteCheckpointer::helper_loop() {
       if (!running_.load(std::memory_order_acquire)) return;
       for (alloc::Chunk* c : managers_[m]->allocator().chunks()) {
         if (!c->persistent()) continue;
-        const vmem::ChunkRecord& rec = c->record();
-        if (!rec.has_committed()) continue;
-        const std::uint64_t local_epoch = rec.epoch[rec.committed];
+        const std::uint64_t local_epoch =
+            committed_epoch_of(*managers_[m], *c);
+        if (local_epoch == 0) continue;
         const Key key{m, c->id()};
         std::uint64_t last_sent = 0;
         {
@@ -499,9 +520,9 @@ CoordinationOutcome RemoteCheckpointer::coordinate_now() {
     for (std::size_t m = 0; m < managers_.size(); ++m) {
       for (alloc::Chunk* c : managers_[m]->allocator().chunks()) {
         if (!c->persistent()) continue;
-        const vmem::ChunkRecord& rec = c->record();
-        if (!rec.has_committed()) continue;
-        const std::uint64_t local_epoch = rec.epoch[rec.committed];
+        const std::uint64_t local_epoch =
+            committed_epoch_of(*managers_[m], *c);
+        if (local_epoch == 0) continue;
         const Key key{m, c->id()};
         auto it = remote_epoch_.find(key);
         const std::uint64_t have =
@@ -531,10 +552,10 @@ CoordinationOutcome RemoteCheckpointer::coordinate_now() {
   for (std::size_t m = 0; m < managers_.size(); ++m) {
     for (alloc::Chunk* c : managers_[m]->allocator().chunks()) {
       if (!c->persistent()) continue;
-      const vmem::ChunkRecord& rec = c->record();
-      if (!rec.has_committed()) continue;
+      const std::uint64_t local_epoch =
+          committed_epoch_of(*managers_[m], *c);
+      if (local_epoch == 0) continue;
       const Key key{m, c->id()};
-      const std::uint64_t local_epoch = rec.epoch[rec.committed];
       auto it = sent_epoch_.find(key);
       if (it != sent_epoch_.end() && it->second == local_epoch) continue;
       // Pre-copy policies smooth even the coordination top-up (it is
@@ -577,7 +598,8 @@ CoordinationOutcome RemoteCheckpointer::coordinate_now() {
       if (it == sent_epoch_.end() || it->second != local_epoch) {
         const SendResult sent =
             send_chunk(m, *c, /*count_as_precopy=*/false, /*paced=*/false,
-                       retry_.phase2_attempts, &budget);
+                       retry_.phase2_attempts, &budget,
+                       /*commit_locked=*/true);
         out.retries += std::max(0, sent.attempts - 1);
         if (!sent.ok()) {
           if (sent.status == SendStatus::kStalled ||

@@ -158,10 +158,11 @@ class RemoteCheckpointer {
   /// round's remaining retry-sleep allowance; sleeps draw it down and no
   /// retry sleeps once it is spent. `paced` spreads the transfer at the
   /// learned rate (pre-copy smoothing); the commit pass sends unpaced
-  /// because it runs under the commit mutexes.
+  /// because it runs under the commit mutexes (`commit_locked`: the
+  /// caller already holds the chunk's commit mutex).
   SendResult send_chunk(std::size_t mgr_idx, alloc::Chunk& c,
                         bool count_as_precopy, bool paced, int max_attempts,
-                        double* backoff_budget);
+                        double* backoff_budget, bool commit_locked = false);
   bool precopy_gate_open(double round_elapsed) const;
 
   // Health-state transitions (take health_mu_).

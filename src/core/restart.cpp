@@ -20,6 +20,15 @@ RestartCoordinator::RestartCoordinator(CheckpointManager& mgr,
 
 bool RestartCoordinator::fetch_remote(alloc::Chunk& c) {
   if (!remote_) return false;
+  const bool ok = fetch_remote_payload(c);
+  // The remote epoch may be older than the newest local one, and a failed
+  // fetch may have written part of DRAM: every local slot is rewritten
+  // whole at its next commit.
+  mgr_->allocator().note_dram_replaced(c);
+  return ok;
+}
+
+bool RestartCoordinator::fetch_remote_payload(alloc::Chunk& c) {
   const std::uint32_t rank = mgr_->config().rank;
   // Framed transport first: with a non-raw codec mode the committed
   // remote slot holds a CodecHeader + encoded body, not the raw payload.
@@ -89,7 +98,12 @@ bool RestartCoordinator::try_parity_rebuild(
   // Every previously-failed chunk now holds the parity epoch's payload;
   // chunks that restored fine are overwritten with the same consistent
   // cut, which is the correct multilevel-restart semantics anyway.
-  if (!opts_.parity_rebuild()) return false;
+  const bool rebuilt = opts_.parity_rebuild();
+  // The rebuild rewrote DRAM with the parity epoch (or part of it).
+  for (alloc::Chunk* c : mgr_->allocator().chunks()) {
+    if (c->persistent()) mgr_->allocator().note_dram_replaced(*c);
+  }
+  if (!rebuilt) return false;
   for (alloc::Chunk* c : failed) {
     ++rep.chunks_parity;
     rep.bytes_parity += c->size();

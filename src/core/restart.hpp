@@ -86,7 +86,9 @@ class RestartCoordinator {
  private:
   RestartReport restart_soft();
   RestartReport restart_hard();
+  /// Fetch the chunk's committed remote copy into DRAM.
   bool fetch_remote(alloc::Chunk& c);
+  bool fetch_remote_payload(alloc::Chunk& c);
   /// Ring-mode fallback when the newest epoch is corrupt and the remote
   /// path failed: walk the chunk's retained epochs newest-first and
   /// restore the first older one that verifies. Returns the epoch

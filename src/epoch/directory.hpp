@@ -97,8 +97,9 @@ class EpochDirectory {
   /// Committed ring slots across all chunks (telemetry).
   std::uint64_t retained_slots() const;
 
-  /// In-place slot corruption caught by the commit path's pre-fold
-  /// checksum verification (the PR-6 laundering gap, now detected).
+  /// Ring slots that failed verification on a local read (restore,
+  /// read_committed, read_retained); each is rewritten whole at its next
+  /// commit.
   void note_slot_corruption() {
     slot_corruptions_.fetch_add(1, std::memory_order_relaxed);
   }

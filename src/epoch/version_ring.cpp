@@ -143,11 +143,14 @@ std::uint64_t VersionRing::newest_epoch() const {
   return i == kInvalidSlot ? 0 : rec_->slots[i].epoch;
 }
 
-bool VersionRing::find_epoch(std::uint64_t epoch, RingSlot* out) const {
+bool VersionRing::find_epoch(std::uint64_t epoch, RingSlot* out,
+                             std::uint32_t* index) const {
   std::lock_guard<std::mutex> lock(dir_->mu_);
-  for (const RingSlot& s : rec_->slots) {
+  for (std::uint32_t i = 0; i < kMaxRingSlots; ++i) {
+    const RingSlot& s = rec_->slots[i];
     if (s.committed() && s.epoch == epoch) {
       if (out) *out = s;
+      if (index) *index = i;
       return true;
     }
   }

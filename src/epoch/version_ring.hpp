@@ -9,7 +9,8 @@
 // all depth+1 slots can briefly hold committed epochs -- the oldest is
 // reclaimed lazily at the *next* acquire, not eagerly at publish, because
 // reusing a committed slot is what lets incremental (page/range) commits
-// fold the slot's clean bytes instead of recopying the whole chunk. The chunk's ChunkRecord remains the
+// copy only the bytes changed since that slot was last written instead of
+// the whole chunk. The chunk's ChunkRecord remains the
 // authority on the *newest* committed version -- its slot_off[committed]
 // aliases the ring slot of the newest epoch -- so every legacy consumer
 // (remote checkpointer, parity, lazy restore) keeps working unchanged.
@@ -80,7 +81,7 @@ class VersionRing {
     /// kFree by a crash): the caller must copy the whole chunk.
     bool fresh = true;
     /// Slot is being reused from an older committed epoch: incremental
-    /// copies may fold its clean bytes, guarded by prev_checksum.
+    /// copies update prev_checksum, the checksum of its current bytes.
     bool had_committed = false;
     std::uint64_t prev_checksum = 0;
   };
@@ -107,10 +108,11 @@ class VersionRing {
   /// Copy of all slots (tests, fault injection, occupancy audits).
   std::vector<RingSlot> snapshot_slots() const;
 
-  /// Committed slot holding `epoch`; copies the slot out (offsets stay
-  /// valid until the slot is reclaimed -- pin first). found=false if the
-  /// epoch is not retained.
-  bool find_epoch(std::uint64_t epoch, RingSlot* out) const;
+  /// Committed slot holding `epoch`; copies the slot (and its index) out
+  /// (offsets stay valid until the slot is reclaimed -- pin first).
+  /// found=false if the epoch is not retained.
+  bool find_epoch(std::uint64_t epoch, RingSlot* out,
+                  std::uint32_t* index = nullptr) const;
 
   /// Pin/unpin an epoch against reclamation and in-progress reuse (restore
   /// sources). Pins nest.

@@ -333,13 +333,13 @@ TEST(CampaignRunner, ParallelCopyPathHasNoUndetectedLoss) {
 // log dropped or the copier mis-applied leaves restored bytes matching no
 // golden epoch -- classified kUndetectedLoss, always a library bug.
 //
-// Bit flips are BACK in the mix (they were excluded before the version
-// ring existed): at ring depth >= 3 an incremental commit verifies the
-// reused slot's bytes against its published checksum before folding any
-// clean-gap bytes, so in-place NVM corruption between commits is detected
-// and recopied wholesale instead of being laundered into the next
-// checksum; a flipped *newest* slot fails restore verification and rolls
-// back to an older retained epoch. Either way: detected, never silent.
+// Bit flips are in the mix: an incremental commit updates the reused
+// slot's checksum linearly from the bytes it overwrites, so an in-place
+// flip between commits stays in that slot's checksum error and fails
+// restore verification instead of being laundered into the next
+// checksum; the failed read marks the slot for a whole rewrite, and the
+// restart rolls back to an older retained epoch (or the remote copy).
+// Either way: detected, never silent.
 TEST(CampaignRunner, WriteLogTrackingHasNoUndetectedLoss) {
   CampaignSpec s = small_spec();
   s.trials = 32;

@@ -118,8 +118,12 @@ TEST_F(ManagerTest, CpcEnginePrecopiesInBackground) {
   fill(*a, 1);
   mgr->start();
   // CPC needs no learning phase: the engine should pick the chunk up.
+  // Wait for a completed pass, not for the dirty flag: precopy_chunk
+  // clears dirty_local before it copies.
   const Stopwatch sw;
-  while (a->dirty_local() && sw.elapsed() < 2.0) precise_sleep(1e-3);
+  while (mgr->stats().precopy_passes == 0 && sw.elapsed() < 2.0) {
+    precise_sleep(1e-3);
+  }
   EXPECT_FALSE(a->dirty_local());
   EXPECT_EQ(a->precopied_epoch(), 1u);
 
